@@ -19,6 +19,7 @@
 use imp_bench::*;
 use imp_core::maintain::SketchMaintainer;
 use imp_core::metrics::MaintMetrics;
+use imp_core::ops::OpConfig;
 use imp_data::queries;
 use imp_data::synthetic::{load, SyntheticConfig};
 use imp_data::workload::{insert_stream, WorkloadOp};
@@ -53,7 +54,8 @@ fn run_churn(base: usize, delta: usize, rounds: usize, groups: i64) -> ChurnRun 
     let plan = db.plan_sql(&sql).unwrap();
     let pset = pset_for(&db, &name, "a", 100);
     let (mut m, _) =
-        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), bench_op_config(), true).unwrap();
+        SketchMaintainer::capture(&plan, &db, Arc::clone(&pset), OpConfig::default(), true)
+            .unwrap();
 
     let mut total = Duration::ZERO;
     let mut metrics = MaintMetrics::default();

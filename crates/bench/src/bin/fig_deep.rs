@@ -219,12 +219,12 @@ fn main() {
     let delta = scaled(600, 24);
     println!("deep: 4-table chain, {batches} churn batches x {delta} rows, {keys} keys");
 
-    let nary = run_config("nary", bench_op_config(), keys, batches, delta, true);
+    let nary = run_config("nary", OpConfig::default(), keys, batches, delta, true);
     let binary = run_config(
         "binary",
         OpConfig {
             nary_join: false,
-            ..bench_op_config()
+            ..OpConfig::default()
         },
         keys,
         batches,

@@ -87,7 +87,6 @@ fn build_imp(obsd: bool, rows: usize, groups: i64) -> Imp {
         db,
         ImpConfig {
             fragments: 50,
-            columnar_min: columnar_min(),
             sched_workers: 2,
             // Tiny staging queue so paused-phase routing falls back
             // inline and fills inboxes deterministically (fig_sched's

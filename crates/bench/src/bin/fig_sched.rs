@@ -51,7 +51,6 @@ fn build_imp(workers: usize, rows: usize, groups: i64) -> Imp {
         db,
         ImpConfig {
             fragments: 50,
-            columnar_min: columnar_min(),
             sched_workers: workers,
             // A tiny staging queue: paused-phase routing overflows onto
             // the inline-ingest fallback every few updates, so inboxes

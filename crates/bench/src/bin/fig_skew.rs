@@ -55,7 +55,6 @@ fn build_imp(workers: usize, rows: usize, groups: i64, delta: usize) -> Imp {
         db,
         ImpConfig {
             fragments: 50,
-            columnar_min: columnar_min(),
             sched_workers: workers,
             // Budget = one update batch: every claim takes a single
             // batch, so the hot backlog drains across many claims and

@@ -58,28 +58,6 @@ pub fn reps() -> usize {
     }
 }
 
-/// Columnar-kernel crossover from `IMP_COLUMNAR_MIN` (default
-/// [`imp_core::ops::DEFAULT_COLUMNAR_MIN`]): the batch size at which
-/// delta normalization, annotation, and aggregation switch to their
-/// columnar kernels. Harnesses thread it through [`OpConfig`] /
-/// [`imp_core::ImpConfig`], so a CI run can probe both paths. Panics on
-/// unparseable values.
-pub fn columnar_min() -> usize {
-    match std::env::var("IMP_COLUMNAR_MIN") {
-        Ok(s) => parse_env("IMP_COLUMNAR_MIN", &s),
-        Err(_) => imp_core::ops::DEFAULT_COLUMNAR_MIN,
-    }
-}
-
-/// The harnesses' default operator configuration: [`OpConfig::default`]
-/// with the [`columnar_min`] env override applied.
-pub fn bench_op_config() -> OpConfig {
-    OpConfig {
-        columnar_min: columnar_min(),
-        ..OpConfig::default()
-    }
-}
-
 /// Observability switch for the harnesses (`IMP_OBS`, default off): when
 /// on, harnesses run with full `imp_core::obs` instrumentation — latency
 /// histograms, pipeline tracing, scheduler counters — and write the

@@ -13,7 +13,7 @@
 //! an insert-only batch — state merges by `(row, annotation content)`
 //! and cancels at zero multiplicity everywhere
 //! ([`crate::opt::JoinSideIndex`], [`crate::opt::NarySideIndex`],
-//! aggregation groups), and [`normalize_delta_with`] annihilates
+//! aggregation groups), and [`normalize_delta`] annihilates
 //! same-batch insert+delete pairs before an operator's output reaches
 //! its parent. The `nary_differential` and `fig_churn`/`fig_deep`
 //! suites drive eviction/restore cycles under such churn and require
@@ -51,105 +51,27 @@
 //! even though pool ids are reassigned on re-interning.
 
 pub use imp_storage::{AnnotId, AnnotPool, DeltaBatch, DeltaEntry};
-use imp_storage::{BitVec, DeltaColumns, FxHashMap, FxHashSet, Row};
-
-/// Default batch size at which normalize switches to the columnar
-/// sort-then-run-length kernel ([`DeltaColumns::merged`]); smaller
-/// batches keep the row-at-a-time hash fold, whose setup cost is lower.
-/// Configurable per run via `OpConfig::columnar_min`.
-pub const NORMALIZE_COLUMNAR_MIN: usize = 32;
-
-/// Fold entries with identical `(row, annotation-id)` into one, dropping
-/// zero-multiplicity results, at the default columnar crossover. See
-/// [`normalize_delta_with`].
-pub fn normalize_delta(delta: DeltaBatch) -> DeltaBatch {
-    normalize_delta_with(delta, NORMALIZE_COLUMNAR_MIN)
-}
+use imp_storage::{BitVec, FxHashSet, Row};
 
 /// Fold entries with identical `(row, annotation-id)` into one, dropping
 /// zero-multiplicity results. Keeps batches compact between operators,
 /// and is where same-batch insert+delete churn annihilates.
 ///
 /// Annotation ids are canonical within a pool, so the fold key never
-/// touches bitvector contents. Batches of at least `columnar_min` rows
-/// take the columnar sort-then-run-length kernel; both paths produce the
-/// identical batch (merged, zero-filtered, sorted by
-/// `(row, annotation)`).
-pub fn normalize_delta_with(delta: DeltaBatch, columnar_min: usize) -> DeltaBatch {
-    if delta.len() <= 1 {
-        return delta;
-    }
-    let rows = delta.len();
-    if rows >= columnar_min {
-        crate::obs::kernel::timed(crate::obs::KernelPath::Columnar, rows, || {
-            DeltaColumns::from_owned(delta).merged()
-        })
-    } else {
-        crate::obs::kernel::timed(crate::obs::KernelPath::Row, rows, || {
-            normalize_delta_rowwise(delta)
-        })
-    }
-}
-
-/// The row-at-a-time normalize fallback (also the property-test oracle
-/// for the columnar kernel).
-pub fn normalize_delta_rowwise(delta: DeltaBatch) -> DeltaBatch {
-    if delta.len() <= 1 {
-        return delta;
-    }
-    let mut map: FxHashMap<(Row, AnnotId), i64> = FxHashMap::default();
-    for d in delta {
-        *map.entry((d.row, d.annot)).or_insert(0) += d.mult;
-    }
-    let mut out: DeltaBatch = map
-        .into_iter()
-        .filter(|(_, m)| *m != 0)
-        .map(|((row, annot), mult)| DeltaEntry { row, annot, mult })
-        .collect();
-    // Deterministic order for tests and reproducible merge processing.
-    out.sort_by(|a, b| (&a.row, a.annot).cmp(&(&b.row, b.annot)));
-    out
-}
-
-/// Semi-naive fixpoint over delta batches — the recursion hook for
-/// monotone queries (transitive closure, reachability) on top of the
-/// same signed-delta algebra the operators use.
-///
-/// Starting from `seed`, repeatedly calls `step(acc, frontier)` — which
-/// must derive the facts *newly producible* from the frontier against
-/// the accumulated set — keeps only genuinely new `(row, annotation)`
-/// facts as the next frontier, and stops when a round adds nothing.
-/// Distinct-set semantics: accumulated facts are capped at multiplicity
-/// one, the standard semi-naive regime (negative multiplicities in
-/// `step` output retract pending frontier facts but never un-derive
-/// accumulated ones). Returns the accumulated batch, normalized.
-///
-/// This is deliberately a *library* hook rather than an `IncNode`:
-/// recursive plans are not yet compiled from SQL, but the n-ary circuit
-/// emits exactly the `DeltaBatch`es a recursive step consumes, so a
-/// caller can stack `semi_naive` on any maintained plan's output today.
-pub fn semi_naive(
-    seed: DeltaBatch,
-    mut step: impl FnMut(&DeltaBatch, &DeltaBatch) -> DeltaBatch,
-) -> DeltaBatch {
-    let mut acc = normalize_delta(seed);
-    let mut seen: FxHashSet<(Row, AnnotId)> =
-        acc.iter().map(|d| (d.row.clone(), d.annot)).collect();
-    let mut frontier = acc.clone();
-    while !frontier.is_empty() {
-        let produced = normalize_delta(step(&acc, &frontier));
-        let mut next = DeltaBatch::new();
-        for d in produced {
-            if d.mult > 0 && seen.insert((d.row.clone(), d.annot)) {
-                next.push(DeltaEntry { mult: 1, ..d });
-            }
+/// touches bitvector contents. The result is sorted by
+/// `(row, annotation)`; the sort is stable, so each merged entry keeps
+/// the row payload of its key's first entry.
+pub fn normalize_delta(mut delta: DeltaBatch) -> DeltaBatch {
+    delta.sort_by(|a, b| (&a.row, a.annot).cmp(&(&b.row, b.annot)));
+    delta.dedup_by(|next, kept| {
+        let same = next.annot == kept.annot && next.row == kept.row;
+        if same {
+            kept.mult += next.mult;
         }
-        for d in &next {
-            acc.push(d.clone());
-        }
-        frontier = next;
-    }
-    normalize_delta(acc)
+        same
+    });
+    delta.retain(|d| d.mult != 0);
+    delta
 }
 
 /// Total number of touched tuples (sum of |mult|).
@@ -216,47 +138,19 @@ mod tests {
     }
 
     #[test]
+    fn lone_zero_multiplicity_entry_is_dropped() {
+        let mut p = AnnotPool::new(4);
+        let d: DeltaBatch = vec![entry(&mut p, row![1], 0, 0)].into();
+        assert!(normalize_delta(d).is_empty());
+        let d: DeltaBatch = vec![entry(&mut p, row![1], 0, -1)].into();
+        assert_eq!(normalize_delta(d).len(), 1);
+    }
+
+    #[test]
     fn distinct_annotations_not_merged() {
         let mut p = AnnotPool::new(4);
         let d: DeltaBatch = vec![entry(&mut p, row![1], 0, 1), entry(&mut p, row![1], 1, 1)].into();
         assert_eq!(normalize_delta(d).len(), 2);
-    }
-
-    #[test]
-    fn semi_naive_reaches_transitive_closure() {
-        use imp_storage::Value;
-        // Path 0→1→2→3 with a back edge 3→1 (a cycle — naive iteration
-        // would rederive pairs forever; the frontier discipline stops).
-        let mut p = AnnotPool::new(8);
-        let edges: Vec<(i64, i64)> = vec![(0, 1), (1, 2), (2, 3), (3, 1)];
-        let annot = p.singleton(0);
-        let seed: DeltaBatch = edges
-            .iter()
-            .map(|&(a, b)| DeltaEntry {
-                row: row![a, b],
-                annot,
-                mult: 1,
-            })
-            .collect::<Vec<_>>()
-            .into();
-        let closure = semi_naive(seed, |_, frontier| {
-            let mut out = DeltaBatch::new();
-            for f in frontier {
-                for &(x, y) in &edges {
-                    if f.row[1] == Value::Int(x) {
-                        out.push(DeltaEntry {
-                            row: Row::new(vec![f.row[0].clone(), Value::Int(y)]),
-                            annot: f.annot,
-                            mult: 1,
-                        });
-                    }
-                }
-            }
-            out
-        });
-        // Reachability: 0 reaches {1,2,3}; each of 1,2,3 reaches {1,2,3}.
-        assert_eq!(closure.len(), 12);
-        assert!(closure.iter().all(|d| d.mult == 1));
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub mod strategy;
 
 pub use advisor::{Advisor, AdvisorParams, AdvisorReport, Lifecycle, WorkloadTracker};
 pub use delta::{
-    delta_heap_size, delta_heap_size_flat, delta_magnitude, normalize_delta, normalize_delta_with,
-    semi_naive, AnnotId, AnnotPool, DeltaBatch, DeltaEntry,
+    delta_heap_size, delta_heap_size_flat, delta_magnitude, normalize_delta, AnnotId, AnnotPool,
+    DeltaBatch, DeltaEntry,
 };
 pub use error::CoreError;
 pub use fragcount::FragCounts;
@@ -75,8 +75,8 @@ pub use metrics::{MaintMetrics, SchedMetrics, SchedStats};
 pub use middleware::{Imp, ImpConfig, ImpResponse, QueryMode, SketchStateView};
 pub use obs::{
     FlightEvent, FlightRecord, FlightRecorder, HealthConfig, HealthReport, HealthState,
-    HistSnapshot, KernelHub, KernelPath, LatencyHistogram, MetricSample, MetricsRegistry, Obs,
-    ObsConfig, ObsEvent, Probe, SampleValue, Verdict,
+    HistSnapshot, LatencyHistogram, MetricSample, MetricsRegistry, Obs, ObsConfig, ObsEvent, Probe,
+    SampleValue, Verdict,
 };
 pub use obsd::ObsdHandle;
 pub use sched::Scheduler;

@@ -15,11 +15,9 @@ use crate::ops::{IncNode, MaintCtx, MergeOp, OpConfig};
 use crate::opt::pushdown::pushable_predicates;
 use crate::Result;
 use imp_engine::{Bag, Database};
-use imp_sketch::{
-    annotate_delta_with, annotation_ids_for_rows, PartitionSet, SketchDelta, SketchSet,
-};
+use imp_sketch::{annotate_delta, annotation_id_for_row, PartitionSet, SketchDelta, SketchSet};
 use imp_sql::{Expr, LogicalPlan};
-use imp_storage::{AnnotPool, DeltaColumns, FxHashMap, PoolStats, Row, RowInterner};
+use imp_storage::{AnnotPool, FxHashMap, PoolStats, RowInterner};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -242,18 +240,10 @@ impl SketchMaintainer {
             if let Some(last) = records.last() {
                 max_seen = max_seen.max(last.version);
             }
-            let annotated = annotate_delta_with(
-                &mut self.pool,
-                &mut self.rows,
-                &self.pset,
-                table,
-                records,
-                self.op_config.columnar_min,
-            );
+            let annotated =
+                annotate_delta(&mut self.pool, &mut self.rows, &self.pset, table, records);
             let filtered = self.apply_pushdown(table, annotated, Some(&mut metrics));
-            let normalized =
-                crate::delta::normalize_delta_with(filtered, self.op_config.columnar_min);
-            deltas.insert(table.clone(), normalized);
+            deltas.insert(table.clone(), crate::delta::normalize_delta(filtered));
         }
         self.flush_cold_row_cache(row_hits_before);
         self.run_prepared(db, deltas, max_seen, metrics, start, pool_stats_before)
@@ -282,33 +272,24 @@ impl SketchMaintainer {
         let mut deltas: FxHashMap<String, DeltaBatch> = FxHashMap::default();
         let mut max_seen = 0u64;
         for table in &self.tables {
-            // Columnar gather: version-filter the routed batches into
-            // contiguous row/multiplicity arrays, then annotate (chunked
-            // fragment extraction) and intern in whole-column passes.
-            let mut rows_col: Vec<Row> = Vec::new();
-            let mut mults: Vec<i64> = Vec::new();
+            // Version-filter the routed batches and annotate each entry
+            // exactly as `annotate_delta` does for fetched records.
+            let mut annotated = DeltaBatch::new();
             for batch in routed.get(table).map(Vec::as_slice).unwrap_or_default() {
                 for entry in batch
                     .entries
                     .iter()
                     .filter(|e| e.version > self.last_version)
                 {
-                    rows_col.push(entry.row.clone());
-                    mults.push(entry.mult);
+                    let annot =
+                        annotation_id_for_row(&mut self.pool, &self.pset, table, &entry.row);
+                    annotated.push_entry(self.rows.intern(entry.row.clone()), annot, entry.mult);
                 }
                 max_seen = max_seen.max(batch.to_version);
             }
-            metrics.delta_rows_fetched += rows_col.len() as u64;
-            let annots = annotation_ids_for_rows(&mut self.pool, &self.pset, table, &rows_col);
-            let mut cols = DeltaColumns::with_capacity(rows_col.len());
-            for (row, (annot, mult)) in rows_col.into_iter().zip(annots.into_iter().zip(mults)) {
-                cols.push(self.rows.intern(row), annot, mult);
-            }
-            let annotated = cols.into_batch();
+            metrics.delta_rows_fetched += annotated.len() as u64;
             let filtered = self.apply_pushdown(table, annotated, Some(&mut metrics));
-            let normalized =
-                crate::delta::normalize_delta_with(filtered, self.op_config.columnar_min);
-            deltas.insert(table.clone(), normalized);
+            deltas.insert(table.clone(), crate::delta::normalize_delta(filtered));
         }
         self.flush_cold_row_cache(row_hits_before);
         self.run_prepared(db, deltas, max_seen, metrics, start, pool_stats_before)

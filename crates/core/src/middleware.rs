@@ -70,9 +70,9 @@ pub struct ImpConfig {
     /// oracle configuration the `nary_differential` suite compares
     /// against.
     pub nary_join: bool,
-    /// Batch size at which delta normalization, annotation, and
-    /// aggregation switch from row-at-a-time to their columnar kernels.
-    /// Defaults to [`crate::ops::DEFAULT_COLUMNAR_MIN`].
+    /// Has no effect: every delta kernel has a single row-at-a-time
+    /// path. Kept only because the benchmark's replay copies it into an
+    /// [`OpConfig`] struct literal; nothing reads it.
     pub columnar_min: usize,
     /// Explicit partition-attribute choices (table → attribute), taking
     /// precedence over the safety heuristic (§7.4).
@@ -152,7 +152,7 @@ impl Default for ImpConfig {
             topk_buffer: None,
             join_index_budget: Some(crate::ops::DEFAULT_JOIN_INDEX_BUDGET),
             nary_join: true,
-            columnar_min: crate::ops::DEFAULT_COLUMNAR_MIN,
+            columnar_min: 0,
             partition_overrides: Vec::new(),
             allow_unsafe_attributes: false,
             retain_sketch_versions: true,
@@ -177,7 +177,7 @@ impl ImpConfig {
             topk_buffer: self.topk_buffer,
             join_index_budget: self.join_index_budget,
             nary_join: self.nary_join,
-            columnar_min: self.columnar_min,
+            ..OpConfig::default()
         }
     }
 }

@@ -7,18 +7,32 @@
 //! `obs` it is not gated by [`super::ObsConfig::enabled`], because a
 //! post-mortem must not require reproducing the incident under
 //! `IMP_OBS=1`. That is affordable because the hot path is a ticket
-//! `fetch_add` plus a handful of relaxed atomic stores into a fixed slot:
-//! no locks, no allocation (asserted by `tests/flight_stress.rs`'s
-//! counting allocator).
+//! `fetch_add`, one compare-and-swap, and a handful of relaxed atomic
+//! stores into a fixed slot: no locks, no allocation (asserted by
+//! `tests/flight_stress.rs`'s counting allocator), and no waiting except
+//! in the rare case, described below, of a writer a full lap behind.
 //!
 //! # Protocol
 //!
 //! Each slot is guarded by a seqlock-style stamp. The writer for ticket
 //! `t` (slot `t % cap`, `cap` a power of two):
 //!
-//! 1. stores the odd stamp `2t+1` (relaxed), then a `Release` fence,
+//! 1. claims the slot by a compare-and-swap of the stamp to the odd
+//!    value `2t+1` (`Acquire`), then issues a `Release` fence,
 //! 2. stores the payload fields (relaxed),
 //! 3. stores the even stamp `2t+2` with `Release`.
+//!
+//! The claim advances only from an even stamp below `2t+1`: an empty
+//! slot or a finished event of an earlier lap. A stamp of `2t+1` or
+//! more means a writer of a later lap has already claimed the slot —
+//! this writer was preempted between taking its ticket and claiming,
+//! and was *lapped*. It drops its event and counts it in
+//! [`FlightRecorder::dropped`] rather than overwrite newer data. An odd
+//! stamp below `2t+1` means a writer of an earlier lap is still
+//! mid-write; the claim spins (yielding) until that writer publishes.
+//! So at most one writer owns a slot at a time, which is what the
+//! seqlock argument below relies on, and a slot's stamp never moves
+//! backwards.
 //!
 //! A reader loads the stamp with `Acquire` and skips the slot unless it
 //! equals `2t+2`; it then reads the fields (relaxed), issues an `Acquire`
@@ -257,6 +271,7 @@ struct Slot {
 pub struct FlightRecorder {
     slots: Box<[Slot]>,
     head: AtomicU64,
+    dropped: AtomicU64,
     epoch: Instant,
 }
 
@@ -267,6 +282,7 @@ impl FlightRecorder {
         FlightRecorder {
             slots: (0..cap).map(|_| Slot::default()).collect(),
             head: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
             epoch: Instant::now(),
         }
     }
@@ -282,18 +298,54 @@ impl FlightRecorder {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Record one event. Lock-free, allocation-free: one `fetch_add` and
-    /// a fixed number of relaxed stores. Safe to call from any thread at
-    /// any time, including with readers dumping concurrently.
+    /// Events a lapped writer dropped instead of overwriting a newer
+    /// event in its slot (see the module docs).
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Record one event. Allocation-free: one `fetch_add`, one claiming
+    /// compare-and-swap, and a fixed number of relaxed stores. Safe to
+    /// call from any thread at any time, including with readers dumping
+    /// concurrently.
     #[inline]
     pub fn record(&self, event: FlightEvent) {
         let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & (self.slots.len() - 1)];
+        let claim = 2 * ticket + 1;
+        let mut stamp = slot.seq.load(Ordering::Relaxed);
+        let mut spins = 0u32;
+        loop {
+            if stamp >= claim {
+                // Lapped: a later writer owns the slot.
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            if stamp % 2 == 1 {
+                // An earlier lap's writer is mid-write.
+                spins += 1;
+                if spins.is_multiple_of(64) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+                stamp = slot.seq.load(Ordering::Relaxed);
+                continue;
+            }
+            // Acquire: the previous owner's payload stores happen before
+            // ours, so ours come later in every field's modification order.
+            match slot
+                .seq
+                .compare_exchange_weak(stamp, claim, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(now) => stamp = now,
+            }
+        }
         // Odd stamp: slot under construction. The release fence orders it
         // before every payload store, so a reader that observes any of
         // our payload writes cannot still read the previous even stamp.
-        slot.seq.store(2 * ticket + 1, Ordering::Relaxed);
         fence(Ordering::Release);
         slot.t_ns.store(t_ns, Ordering::Relaxed);
         slot.kind.store(event.kind(), Ordering::Relaxed);
@@ -351,7 +403,7 @@ impl FlightRecorder {
     }
 
     /// Deterministic JSON dump of [`Self::events`] plus ring metadata:
-    /// `{"flight":{"cap":…,"recorded":…,"window_ns":…,"events":[…]}}`,
+    /// `{"flight":{"cap":…,"recorded":…,"dropped":…,"window_ns":…,"events":[…]}}`,
     /// events sorted by ticket, each with `ticket`, `t_ns`, `kind`, and
     /// its kind-specific numeric fields.
     pub fn dump_json(&self, window_ns: u64) -> String {
@@ -361,6 +413,8 @@ impl FlightRecorder {
         out.push_str(&self.capacity().to_string());
         out.push_str(",\"recorded\":");
         out.push_str(&self.recorded().to_string());
+        out.push_str(",\"dropped\":");
+        out.push_str(&self.dropped().to_string());
         out.push_str(",\"window_ns\":");
         out.push_str(&window_ns.to_string());
         out.push_str(",\"events\":[");
@@ -473,6 +527,30 @@ mod tests {
         assert_eq!(events.first().unwrap().ticket, 17);
         assert_eq!(events.last().unwrap().ticket, cap + 16);
         assert_eq!(fr.recorded(), cap + 17);
+    }
+
+    #[test]
+    fn lapped_writer_drops_instead_of_overwriting() {
+        let fr = FlightRecorder::new(64);
+        let cap = fr.capacity() as u64;
+        // Ticket `cap` finished in slot 0 while ticket 0's writer was
+        // preempted before claiming it.
+        fr.slots[0].seq.store(2 * cap + 2, Ordering::Relaxed);
+        fr.record(FlightEvent::Staged {
+            table: fid("late"),
+            queued: 1,
+        });
+        assert_eq!(fr.dropped(), 1);
+        assert_eq!(fr.slots[0].seq.load(Ordering::Relaxed), 2 * cap + 2);
+        assert_eq!(fr.slots[0].kind.load(Ordering::Relaxed), 0);
+        // The next ticket's slot is untouched by the lap and records.
+        fr.record(FlightEvent::Staged {
+            table: fid("next"),
+            queued: 1,
+        });
+        assert_eq!(fr.dropped(), 1);
+        assert_eq!(fr.events(u64::MAX).len(), 1);
+        assert!(fr.dump_json(u64::MAX).contains("\"dropped\":1,"));
     }
 
     #[test]

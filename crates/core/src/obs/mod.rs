@@ -36,7 +36,6 @@
 pub mod flight;
 pub mod health;
 pub mod hist;
-pub mod kernel;
 pub mod probe;
 pub mod registry;
 pub mod trace;
@@ -48,7 +47,6 @@ pub use health::{
     FiringRule, HealthConfig, HealthMonitor, HealthReport, HealthState, HealthTicker, Verdict,
 };
 pub use hist::{HistSnapshot, LatencyHistogram};
-pub use kernel::{KernelHub, KernelPath};
 pub use probe::{ObsEvent, Probe};
 pub use registry::{Counter, Gauge, Histogram, MetricSample, MetricsRegistry, SampleValue};
 pub use trace::{SpanRecord, Tracer};
@@ -111,7 +109,6 @@ pub struct Obs {
     tracer: Arc<Tracer>,
     probes: probe::ProbeHub,
     flight: Arc<FlightRecorder>,
-    kernel: Option<Arc<KernelHub>>,
 }
 
 impl Obs {
@@ -122,7 +119,6 @@ impl Obs {
     /// panic hook); only its capacity comes from the config.
     pub fn new(config: &ObsConfig) -> Arc<Obs> {
         let registry = MetricsRegistry::new();
-        let kernel = config.enabled.then(|| KernelHub::registered(&registry));
         let flight = Arc::new(FlightRecorder::new(config.flight_cap));
         flight::register_panic_dump(&flight);
         Arc::new(Obs {
@@ -134,7 +130,6 @@ impl Obs {
             )),
             probes: probe::ProbeHub::new(),
             flight,
-            kernel,
         })
     }
 
@@ -168,28 +163,19 @@ impl Obs {
     }
 
     /// Attach and open one span: the usual entry-point pattern. Returns a
-    /// cheap no-op when tracing is off. Whenever obs is enabled (tracing
-    /// on or not), the span also attaches the kernel-timing hub to the
-    /// thread, so [`kernel::timed`] dispatch sites under this entry
-    /// point record their columnar/row batch timings.
+    /// cheap no-op when tracing is off.
     #[inline]
     pub fn span(&self, name: &'static str) -> PipelineSpan {
-        let kernel = match &self.kernel {
-            Some(hub) => kernel::attach(hub),
-            None => kernel::KernelAttachGuard::inactive(),
-        };
         if !self.tracer.is_enabled() {
             return PipelineSpan {
                 span: trace::Span::noop(),
                 _attach: trace::AttachGuard::inactive(),
-                _kernel: kernel,
             };
         }
         let attach = self.tracer.attach();
         PipelineSpan {
             span: trace::span(name),
             _attach: attach,
-            _kernel: kernel,
         }
     }
 
@@ -281,19 +267,13 @@ impl Obs {
     pub fn flight_dump(&self) -> String {
         self.flight.dump_json(u64::MAX)
     }
-
-    /// The kernel-timing hub (present iff obs is enabled).
-    pub fn kernel_hub(&self) -> Option<&Arc<KernelHub>> {
-        self.kernel.as_ref()
-    }
 }
 
 /// An attached entry-point span (see [`Obs::span`]). Field order matters:
-/// the span must drop (and record) before the attach guards detach.
+/// the span must drop (and record) before the attach guard detaches.
 pub struct PipelineSpan {
     span: trace::Span,
     _attach: trace::AttachGuard,
-    _kernel: kernel::KernelAttachGuard,
 }
 
 impl PipelineSpan {
@@ -366,20 +346,6 @@ mod tests {
             }
         );
         assert!(obs.flight_dump().contains("\"kind\":\"maintained\""));
-    }
-
-    #[test]
-    fn enabled_span_attaches_kernel_timing() {
-        let obs = Obs::new(&ObsConfig::metrics_only());
-        {
-            let _s = obs.span("maintain");
-            kernel::timed(KernelPath::Row, 3, || {});
-        }
-        // Outside the span nothing is attached.
-        kernel::timed(KernelPath::Row, 100, || {});
-        let text = obs.metrics_text();
-        assert!(text.contains("imp_kernel_ns_count{path=\"row\"} 1"));
-        assert!(text.contains("imp_kernel_rows{path=\"row\"} 3"));
     }
 
     #[test]

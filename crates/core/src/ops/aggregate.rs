@@ -18,16 +18,8 @@ use crate::fragcount::FragCounts;
 use crate::Result;
 use imp_engine::eval::NumAcc;
 use imp_sql::{AggFunc, AggSpec, Expr};
-use imp_storage::{
-    key_runs, sort_keys_stable, AnnotId, AnnotPool, FxHashMap, Row, Value, COLUMNAR_CHUNK,
-};
+use imp_storage::{AnnotId, AnnotPool, FxHashMap, Row, Value};
 use std::collections::BTreeMap;
-
-/// Default input-batch size at which aggregation takes the columnar
-/// group path (chunked key extraction + sort-then-run-length group-by);
-/// smaller batches keep the per-row hash path, whose setup cost is
-/// lower. Configurable per run via `OpConfig::columnar_min`.
-pub const AGG_COLUMNAR_MIN: usize = 32;
 
 /// Incremental aggregation operator (also implements δ when `aggs` is
 /// empty: output is the group key alone).
@@ -40,8 +32,6 @@ pub struct AggOp {
     /// Aggregation without GROUP BY: the single group always exists.
     global: bool,
     minmax_buffer: Option<usize>,
-    /// Columnar group-path crossover for input batches.
-    columnar_min: usize,
 }
 
 /// Per-group state `S[g] = (aggregates, CNT, P, ℱ_g)`.
@@ -317,7 +307,6 @@ impl AggOp {
             groups: FxHashMap::default(),
             global,
             minmax_buffer,
-            columnar_min: config.columnar_min,
         };
         if global {
             // The single group of a global aggregate exists even on empty
@@ -359,15 +348,7 @@ impl AggOp {
         let total = ctx.pset.total_fragments();
         // Lazy pre-batch snapshots of each touched group's output (§7.1).
         let mut old_outputs: FxHashMap<Row, Option<(Row, AnnotId)>> = FxHashMap::default();
-        if input.len() >= self.columnar_min {
-            crate::obs::kernel::timed(crate::obs::KernelPath::Columnar, input.len(), || {
-                self.apply_columnar(&input, total, &mut old_outputs, ctx)
-            })?;
-        } else {
-            crate::obs::kernel::timed(crate::obs::KernelPath::Row, input.len(), || {
-                self.apply_rowwise(&input, total, &mut old_outputs, ctx)
-            })?;
-        }
+        self.apply(&input, total, &mut old_outputs, ctx)?;
         ctx.metrics.groups_touched += old_outputs.len() as u64;
         // Emit Δ-old / Δ+new per touched group; drop dead groups.
         let mut out = DeltaBatch::new();
@@ -410,9 +391,9 @@ impl AggOp {
         Ok(out)
     }
 
-    /// Row-at-a-time group maintenance (the fallback for small batches):
-    /// one hash probe and one snapshot check per input row.
-    fn apply_rowwise(
+    /// Row-at-a-time group maintenance: one hash probe and one snapshot
+    /// check per input row.
+    fn apply(
         &mut self,
         input: &DeltaBatch,
         total: usize,
@@ -436,54 +417,6 @@ impl AggOp {
                 .entry(key)
                 .or_insert_with(|| GroupState::new(&self.aggs, self.minmax_buffer));
             apply_entry(st, d, &self.aggs, ctx)?;
-        }
-        Ok(())
-    }
-
-    /// Columnar group maintenance: the group keys of the whole batch are
-    /// extracted into one contiguous key column in [`COLUMNAR_CHUNK`]-row
-    /// windows, then a stable index sort makes equal keys adjacent and
-    /// each run is applied to its group in one go — one hash lookup and
-    /// one pre-batch snapshot per *distinct* group instead of per row.
-    /// The stable order preserves each group's input order, so
-    /// order-sensitive accumulator state (bounded MIN/MAX buffers)
-    /// evolves exactly as under [`AggOp::apply_rowwise`].
-    fn apply_columnar(
-        &mut self,
-        input: &DeltaBatch,
-        total: usize,
-        old_outputs: &mut FxHashMap<Row, Option<(Row, AnnotId)>>,
-        ctx: &mut MaintCtx<'_>,
-    ) -> Result<()> {
-        ctx.metrics.rows_processed += input.len() as u64;
-        // Pass 1 — chunked key extraction into a contiguous key column.
-        let mut keys: Vec<Row> = Vec::with_capacity(input.len());
-        for chunk in input.entries().chunks(COLUMNAR_CHUNK) {
-            for d in chunk {
-                keys.push(
-                    self.group_by
-                        .iter()
-                        .map(|g| g.eval(&d.row))
-                        .collect::<std::result::Result<_, _>>()
-                        .map_err(imp_engine::EngineError::from)?,
-                );
-            }
-        }
-        // Pass 2 — sort-then-run-length group-by over the key column.
-        let order = sort_keys_stable(&keys);
-        for run in key_runs(&keys, &order) {
-            let key = &keys[run[0] as usize];
-            if !old_outputs.contains_key(key) {
-                let snap = self.output_of(key, total, ctx.pool);
-                old_outputs.insert(key.clone(), snap);
-            }
-            let st = self
-                .groups
-                .entry(key.clone())
-                .or_insert_with(|| GroupState::new(&self.aggs, self.minmax_buffer));
-            for &i in run {
-                apply_entry(st, &input[i as usize], &self.aggs, ctx)?;
-            }
         }
         Ok(())
     }
@@ -631,8 +564,7 @@ impl AggOp {
 }
 
 /// Apply one input entry to a group's state: tuple count, fragment
-/// counters `ℱ_g`, and every accumulator. Shared by the row-wise and
-/// columnar paths so both evolve the state identically.
+/// counters `ℱ_g`, and every accumulator.
 fn apply_entry(
     st: &mut GroupState,
     d: &DeltaEntry,

@@ -59,23 +59,18 @@ use crate::opt::{BloomFilter, JoinSideIndex};
 use crate::Result;
 use imp_sketch::capture::eval_annot;
 use imp_sql::LogicalPlan;
-use imp_storage::{FxHashMap, Value, COLUMNAR_CHUNK};
+use imp_storage::{FxHashMap, Value};
 use std::sync::Arc;
 
 /// One side's extracted join-key column: `col[i]` is the key of delta row
 /// `i`, `None` for NULL keys (which never join).
 type KeyColumn = Vec<Option<Vec<Value>>>;
 
-/// Columnar key extraction: project a whole delta's join keys into one
-/// contiguous key column, walked in [`COLUMNAR_CHUNK`]-row windows. Every
-/// consumer of the batch (bloom maintenance, pruning, the three join
-/// terms) reads this column instead of re-projecting rows.
+/// Project a whole delta's join keys into one key column. Every consumer
+/// of the batch (bloom maintenance, pruning, the three join terms) reads
+/// this column instead of re-projecting rows.
 fn extract_keys(delta: &DeltaBatch, keys: &[usize]) -> KeyColumn {
-    let mut out = Vec::with_capacity(delta.len());
-    for chunk in delta.entries().chunks(COLUMNAR_CHUNK) {
-        out.extend(chunk.iter().map(|d| key_of(&d.row, keys)));
-    }
-    out
+    delta.iter().map(|d| key_of(&d.row, keys)).collect()
 }
 
 /// Lifecycle of one side's materialised index.
@@ -120,8 +115,6 @@ pub struct JoinOp {
     right_index: SideState,
     /// Max annotated tuples per side index; `None` disables the indexes.
     index_budget: Option<usize>,
-    /// Columnar-normalize crossover for the output batch.
-    columnar_min: usize,
 }
 
 impl JoinOp {
@@ -149,7 +142,6 @@ impl JoinOp {
             left_index: SideState::Absent,
             right_index: SideState::Absent,
             index_budget: config.join_index_budget,
-            columnar_min: config.columnar_min,
         }
     }
 
@@ -202,9 +194,8 @@ impl JoinOp {
             ctx,
         )?;
 
-        // Columnar key extraction — each delta's join keys are projected
-        // once into a contiguous key column shared by bloom maintenance,
-        // pruning, and all three terms below.
+        // Each delta's join keys are projected once into a key column
+        // shared by bloom maintenance, pruning, and all three terms below.
         let dl_keys = extract_keys(&dl, &self.left_keys);
         let dr_keys = extract_keys(&dr, &self.right_keys);
 
@@ -330,7 +321,7 @@ impl JoinOp {
             }
         }
 
-        Ok(crate::delta::normalize_delta_with(out, self.columnar_min))
+        Ok(crate::delta::normalize_delta(out))
     }
 
     /// Left child (state persistence walks the tree).

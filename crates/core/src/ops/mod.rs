@@ -83,12 +83,6 @@ pub const DEFAULT_MINMAX_BUFFER: usize = 64;
 /// evaluation instead of exhausting memory.
 pub const DEFAULT_JOIN_INDEX_BUDGET: usize = 1 << 20;
 
-/// Default row-count crossover at which delta kernels switch from the
-/// row-at-a-time path to the columnar one (normalize, aggregate,
-/// annotate). Measured on the smoke workloads; override per run via
-/// [`OpConfig::columnar_min`] (harnesses expose `IMP_COLUMNAR_MIN`).
-pub const DEFAULT_COLUMNAR_MIN: usize = 32;
-
 /// Tuning knobs for operator construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpConfig {
@@ -112,11 +106,9 @@ pub struct OpConfig {
     /// [`NaryJoinOp`] (the delta-circuit path). Off = every join stays a
     /// binary [`JoinOp`] — the differential oracle configuration.
     pub nary_join: bool,
-    /// Batch-size crossover for the columnar delta kernels (normalize /
-    /// aggregate / annotate): batches of at least this many rows take
-    /// the columnar path. Promoted from the former hardcoded
-    /// `*_COLUMNAR_MIN = 32` constants so crossover tuning needs no
-    /// rebuild.
+    /// Has no effect: every delta kernel has a single row-at-a-time
+    /// path. Kept only because the benchmark's replay builds `OpConfig`
+    /// with a struct literal that names it; nothing reads it.
     pub columnar_min: usize,
 }
 
@@ -128,7 +120,7 @@ impl Default for OpConfig {
             topk_buffer: None,
             join_index_budget: Some(DEFAULT_JOIN_INDEX_BUDGET),
             nary_join: true,
-            columnar_min: DEFAULT_COLUMNAR_MIN,
+            columnar_min: 0,
         }
     }
 }

@@ -104,7 +104,6 @@ pub struct NaryJoinOp {
     /// Greedy extension order per seeding input.
     orders: Vec<Vec<usize>>,
     index_budget: Option<usize>,
-    columnar_min: usize,
     /// Probes against each input's index, last completed batch.
     probes_last: Vec<u64>,
     /// Probes against each input's index, cumulative since build/reset.
@@ -141,7 +140,6 @@ impl NaryJoinOp {
             states: (0..n).map(|_| InputState::Absent).collect(),
             orders,
             index_budget: config.join_index_budget,
-            columnar_min: config.columnar_min,
             probes_last: vec![0; n],
             probes_total: vec![0; n],
         })
@@ -210,7 +208,7 @@ impl NaryJoinOp {
         for (t, l) in self.probes_total.iter_mut().zip(&self.probes_last) {
             *t += l;
         }
-        Ok(crate::delta::normalize_delta_with(out, self.columnar_min))
+        Ok(crate::delta::normalize_delta(out))
     }
 
     /// Guarantee input `j` has a probe-able index at the state term `i`

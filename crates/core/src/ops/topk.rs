@@ -395,8 +395,8 @@ impl TopKOp {
             let mut entries = Entries::new();
             for _ in 0..len {
                 let row = decode_row(buf)?;
-                let id = pool.intern(decode_bitvec(buf)?);
-                entries.insert((row, pool.share(id)), decode_i64(buf)?);
+                let annot = crate::state_codec::decode_annotation(buf, pool)?;
+                entries.insert((row, annot), decode_i64(buf)?);
                 self.entries += 1;
             }
             self.state.insert(key, entries);
@@ -450,5 +450,58 @@ mod tests {
         assert!(a < b);
         let c = OrderKey::new(&imp_storage::row![5, 0], &keys);
         assert!(c < a);
+    }
+
+    #[test]
+    fn wrong_width_annotation_is_rejected_on_load() {
+        use crate::maintain::SketchMaintainer;
+        use crate::ops::OpConfig;
+        use crate::state_codec::{load_state, save_state};
+        use imp_sketch::{PartitionSet, RangePartition};
+        use imp_storage::{row, DataType, Field, Schema};
+
+        let mut db = imp_engine::Database::new();
+        db.create_table(
+            "sales",
+            Schema::new(vec![
+                Field::new("brand", DataType::Str),
+                Field::new("price", DataType::Int),
+            ]),
+        )
+        .unwrap();
+        db.table_mut("sales")
+            .unwrap()
+            .bulk_load([row!["HP", 999], row!["Dell", 1345], row!["Apple", 3875]])
+            .unwrap();
+        let pset = Arc::new(
+            PartitionSet::new(vec![RangePartition::new(
+                "sales",
+                "price",
+                1,
+                vec![Value::Int(1001), Value::Int(2001)],
+            )
+            .unwrap()])
+            .unwrap(),
+        );
+        let width = pset.total_fragments() as u64;
+        let plan = db
+            .plan_sql("SELECT brand, price FROM sales ORDER BY price DESC LIMIT 2")
+            .unwrap();
+        let (mut m, _) =
+            SketchMaintainer::capture(&plan, &db, pset, OpConfig::default(), true).unwrap();
+        assert!(m.topk_state().is_some());
+
+        // The top-k state is encoded last; it ends with one entry's
+        // annotation (width word + one bit word) and its multiplicity.
+        let mut raw = save_state(&m).to_vec();
+        let at = raw.len() - 24;
+        assert_eq!(raw[at..at + 8], width.to_le_bytes());
+        raw[at..at + 8].copy_from_slice(&(width + 1).to_le_bytes());
+
+        let err = load_state(&mut m, bytes::Bytes::from(raw)).unwrap_err();
+        assert!(
+            matches!(&err, crate::CoreError::Codec(msg) if msg.contains("width")),
+            "{err:?}"
+        );
     }
 }

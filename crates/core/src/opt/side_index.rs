@@ -206,10 +206,9 @@ impl JoinSideIndex {
             idx.heap_bytes += key_heap(&key);
             for _ in 0..len {
                 let row = codec::decode_row(buf)?;
-                let id = pool.intern(codec::decode_bitvec(buf)?);
                 let e = IndexEntry {
                     row,
-                    annot: pool.share(id),
+                    annot: crate::state_codec::decode_annotation(buf, pool)?,
                     mult: codec::decode_i64(buf)?,
                 };
                 idx.heap_bytes += entry_heap(&e);

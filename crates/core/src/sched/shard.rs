@@ -266,14 +266,16 @@ impl ShardWorker {
 
     /// Flush everything routed (or staged) before a control was sent:
     /// drain the staging queue, then claim from this shard's own inbox
-    /// until it is empty. Holding the state lock between claims is not
-    /// needed — "inbox empty" is checked after the staging drain's
-    /// pushes have all landed (one router hold), and any batch a thief
-    /// claimed concurrently is fully processed before our next claim can
-    /// take the state lock.
+    /// until it is empty. "Inbox empty" is checked after the staging
+    /// drain's pushes have all landed (one router hold). A thief pops
+    /// batches only while holding this shard's state lock and keeps it
+    /// until its run is published, so an empty inbox can still hide a
+    /// stolen claim in flight: taking the state lock once at the end
+    /// waits that claim out, and the control observes the settled store.
     fn barrier_flush(&self) {
         self.shared.ingest(&self.db, None);
         while self.work_on(self.id, false) {}
+        drop(self.shared.slots[self.id].state.lock());
     }
 
     /// One unit of work: staged ingest, then a claim from the own inbox,

@@ -28,7 +28,8 @@ use crate::ops::IncNode;
 use crate::Result;
 use bytes::{Bytes, BytesMut};
 use imp_sketch::SketchSet;
-use imp_storage::{codec, AnnotPool};
+use imp_storage::{codec, AnnotPool, BitVec};
+use std::sync::Arc;
 
 /// Serialize the full maintainer state (sketch, version, μ counters,
 /// every stateful operator).
@@ -69,6 +70,23 @@ pub fn load_state(m: &mut SketchMaintainer, mut bytes: Bytes) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// Decode one persisted annotation and re-intern it into `pool`,
+/// returning the pool's shared handle. A bitvector whose width differs
+/// from the pool's is corrupt state: it is rejected here rather than
+/// reaching the pool's width assertion.
+pub(crate) fn decode_annotation(buf: &mut Bytes, pool: &mut AnnotPool) -> Result<Arc<BitVec>> {
+    let bits = codec::decode_bitvec(buf)?;
+    if bits.len() != pool.width() {
+        return Err(CoreError::Codec(format!(
+            "annotation width mismatch: stored {}, expected {}",
+            bits.len(),
+            pool.width()
+        )));
+    }
+    let id = pool.intern(bits);
+    Ok(pool.share(id))
 }
 
 fn encode_node(node: &IncNode, buf: &mut BytesMut) {

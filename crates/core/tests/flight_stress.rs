@@ -1,5 +1,5 @@
-//! Flight-recorder concurrency and allocation guards (ISSUE 10
-//! acceptance). Two properties of [`imp_core::FlightRecorder`]:
+//! Flight-recorder concurrency and allocation guards. Two properties of
+//! [`imp_core::FlightRecorder`]:
 //!
 //! 1. **No torn slots.** N writer threads hammer the ring while a reader
 //!    dumps it mid-write. Every event a writer records carries payload
@@ -10,30 +10,43 @@
 //!    `#[global_allocator]` (each integration test compiles to its own
 //!    binary, so the swap is contained) and asserts `record()` allocates
 //!    nothing — the flight recorder is always on, even with obs disabled,
-//!    so its write cost must stay a `fetch_add` plus a few stores.
+//!    so its write cost must stay a `fetch_add` plus a few atomics. The
+//!    count is per thread, so the stress test's threads running at the
+//!    same time cannot leak allocations into the measurement.
 
 use imp_core::{FlightEvent, FlightRecorder};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread (const-initialised and
+    /// destructor-free, so the allocator may touch it at any time).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only during thread teardown; those allocations
+    // belong to no measurement.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,8 +58,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// The self-consistency relation every stress write obeys: all four

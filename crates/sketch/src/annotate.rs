@@ -12,15 +12,7 @@
 //! so repeated updates of the same tuple share one allocation.
 
 use crate::partition::PartitionSet;
-use imp_storage::{
-    AnnotId, AnnotPool, BitVec, DeltaBatch, DeltaColumns, DeltaRecord, Row, RowInterner,
-    COLUMNAR_CHUNK,
-};
-
-/// Deltas at or above this many records are annotated through the
-/// columnar kernel ([`annotation_ids_for_rows`]); smaller ones keep the
-/// row-at-a-time path.
-pub const ANNOTATE_COLUMNAR_MIN: usize = 32;
+use imp_storage::{AnnotId, AnnotPool, BitVec, DeltaBatch, DeltaRecord, Row, RowInterner};
 
 /// Annotation bits for one base-table row (materialised form; the delta
 /// pipeline uses the pooled [`annotation_id_for_row`] instead).
@@ -48,37 +40,9 @@ pub fn annotation_id_for_row(
     }
 }
 
-/// Columnar annotate kernel: pooled annotation ids for a contiguous run
-/// of rows. The rows are walked in [`COLUMNAR_CHUNK`]-sized windows; each
-/// window's partition-column values are reduced to fragment indexes in a
-/// tight key-extraction scan over a scratch array, then mapped to cached
-/// singleton ids in a second pass. Unpartitioned tables short-circuit to
-/// the pool's empty id.
-pub fn annotation_ids_for_rows(
-    pool: &mut AnnotPool,
-    pset: &PartitionSet,
-    table: &str,
-    rows: &[Row],
-) -> Vec<AnnotId> {
-    let Some((_, offset, p)) = pset.for_table(table) else {
-        return vec![pool.empty_id(); rows.len()];
-    };
-    let mut out = Vec::with_capacity(rows.len());
-    let mut frags: Vec<usize> = Vec::with_capacity(COLUMNAR_CHUNK.min(rows.len()));
-    for chunk in rows.chunks(COLUMNAR_CHUNK) {
-        frags.clear();
-        frags.extend(
-            chunk
-                .iter()
-                .map(|row| offset + p.fragment_of(&row[p.column])),
-        );
-        out.extend(frags.iter().map(|&f| pool.singleton(f)));
-    }
-    out
-}
-
-/// Annotate a table's delta records (`Δℛ = annotate(ΔR, Φ)`) with the
-/// default columnar crossover of [`ANNOTATE_COLUMNAR_MIN`] records.
+/// Annotate a table's delta records (`Δℛ = annotate(ΔR, Φ)`): each
+/// record becomes one entry carrying its interned row, its pooled
+/// [`annotation_id_for_row`], and its signed multiplicity.
 pub fn annotate_delta(
     pool: &mut AnnotPool,
     rows: &mut RowInterner,
@@ -86,32 +50,6 @@ pub fn annotate_delta(
     table: &str,
     records: &[DeltaRecord],
 ) -> DeltaBatch {
-    annotate_delta_with(pool, rows, pset, table, records, ANNOTATE_COLUMNAR_MIN)
-}
-
-/// Annotate a table's delta records with an explicit columnar crossover.
-///
-/// Batches of `columnar_min` records or more run through the columnar
-/// kernel ([`annotation_ids_for_rows`] over a [`DeltaColumns`] build);
-/// smaller batches keep the per-record path. Both produce the identical
-/// annotated batch.
-pub fn annotate_delta_with(
-    pool: &mut AnnotPool,
-    rows: &mut RowInterner,
-    pset: &PartitionSet,
-    table: &str,
-    records: &[DeltaRecord],
-    columnar_min: usize,
-) -> DeltaBatch {
-    if records.len() >= columnar_min {
-        let mut cols = DeltaColumns::with_capacity(records.len());
-        let interned: Vec<Row> = records.iter().map(|r| rows.intern(r.row.clone())).collect();
-        let annots = annotation_ids_for_rows(pool, pset, table, &interned);
-        for ((rec, row), annot) in records.iter().zip(interned).zip(annots) {
-            cols.push(row, annot, rec.op.sign() * rec.mult as i64);
-        }
-        return cols.into_batch();
-    }
     records
         .iter()
         .map(|r| imp_storage::DeltaEntry {

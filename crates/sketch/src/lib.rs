@@ -27,10 +27,7 @@ pub mod safety;
 pub mod sketch;
 pub mod use_rewrite;
 
-pub use annotate::{
-    annotate_delta, annotate_delta_with, annotation_for_row, annotation_id_for_row,
-    annotation_ids_for_rows, ANNOTATE_COLUMNAR_MIN,
-};
+pub use annotate::{annotate_delta, annotation_for_row, annotation_id_for_row};
 pub use capture::{capture, AnnotBag, CaptureResult};
 pub use error::SketchError;
 pub use partition::{PartitionSet, RangePartition};

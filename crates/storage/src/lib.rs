@@ -20,10 +20,6 @@
 //!   annotation bitvectors into small [`AnnotId`]s with memoized unions,
 //!   [`RowInterner`] deduplicates tuple payloads, and [`DeltaBatch`] is
 //!   the arena-backed batch representation operators exchange.
-//! * [`columns`] — [`DeltaColumns`], the columnar view over a
-//!   [`DeltaBatch`]: chunked extraction into contiguous tuple / annotation
-//!   / multiplicity arrays plus the sort-then-run-length group-by and
-//!   branch-free multiplicity-merge kernels the hot operators consume.
 //! * [`codec`] — a small length-prefixed binary codec used to persist
 //!   sketches and incremental operator state (paper §2: "the system can
 //!   persist the state that it maintains for its incremental operators").
@@ -32,7 +28,6 @@ pub mod bitvec;
 pub mod chunk;
 pub mod codec;
 pub mod column;
-pub mod columns;
 pub mod delta;
 pub mod error;
 pub mod hash;
@@ -45,7 +40,6 @@ pub mod value;
 pub use bitvec::BitVec;
 pub use chunk::{ChunkBuilder, DataChunk, ZoneMap};
 pub use column::ColumnData;
-pub use columns::{key_runs, sort_keys_stable, DeltaColumns, COLUMNAR_CHUNK};
 pub use delta::{DeltaLog, DeltaOp, DeltaRecord};
 pub use error::StorageError;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

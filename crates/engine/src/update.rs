@@ -7,9 +7,10 @@
 
 use crate::database::{Database, QueryResult};
 use crate::error::EngineError;
+use crate::eval::extract_prune_ranges;
 use crate::Result;
-use imp_sql::{Catalog, Resolver, Statement};
-use imp_storage::{Field, Row, Schema, Value};
+use imp_sql::{Catalog, Expr, Resolver, Statement};
+use imp_storage::{Field, Row, Schema, Table, Value};
 
 /// Outcome of executing a statement.
 #[derive(Debug, Clone)]
@@ -119,6 +120,42 @@ fn insert(
     })
 }
 
+/// Delete the rows of `t` that `predicate` accepts (all rows when `None`)
+/// at `version`, returning them in table order.
+///
+/// Victims are chosen column-first: when [`extract_prune_ranges`] finds
+/// ranges on one column, [`Table::delete_where`] skips chunks by zone map
+/// and runs a typed range kernel over that column, and only the candidate
+/// rows it returns are evaluated against the full predicate. As with the
+/// filtered SELECT, a row excluded by the range conjuncts is never
+/// evaluated by the other conjuncts, so an evaluation error those would
+/// raise on it does not surface.
+fn delete_matching(t: &mut Table, version: u64, predicate: Option<&Expr>) -> Result<Vec<Row>> {
+    let Some(p) = predicate else {
+        return Ok(t.delete_where(version, None, |_| true));
+    };
+    let prune = extract_prune_ranges(p);
+    let mut eval_err: Option<EngineError> = None;
+    let deleted = t.delete_where(
+        version,
+        prune.as_ref().map(|r| (r.column, r.ranges.as_slice())),
+        |row| match p.eval_predicate(row) {
+            Ok(b) => b,
+            Err(e) => {
+                eval_err.get_or_insert(EngineError::Sql(e));
+                false
+            }
+        },
+    );
+    match eval_err {
+        Some(e) => Err(e),
+        None => Ok(deleted),
+    }
+}
+
+/// `DELETE FROM table [WHERE filter]`, with victims chosen column-first by
+/// [`delete_matching`]. As with the filtered SELECT, rows excluded by the
+/// filter's range conjuncts are never evaluated by its other conjuncts.
 fn delete(
     db: &mut Database,
     table: &str,
@@ -133,21 +170,7 @@ fn delete(
         None => None,
     };
     let version = db.next_version();
-    let t = db.table_mut(table)?;
-    let mut eval_err: Option<EngineError> = None;
-    let deleted = t.delete_where(version, |row| match &predicate {
-        None => true,
-        Some(p) => match p.eval_predicate(row) {
-            Ok(b) => b,
-            Err(e) => {
-                eval_err.get_or_insert(EngineError::Sql(e));
-                false
-            }
-        },
-    });
-    if let Some(e) = eval_err {
-        return Err(e);
-    }
+    let deleted = delete_matching(db.table_mut(table)?, version, predicate.as_ref())?;
     Ok(StatementResult::Affected {
         table: table.to_ascii_lowercase(),
         count: deleted.len() as u64,
@@ -155,6 +178,9 @@ fn delete(
     })
 }
 
+/// `UPDATE table SET … [WHERE filter]`: the old rows are chosen like
+/// [`delete`]'s victims, then re-inserted with the assignments applied, all
+/// at one version.
 fn update(
     db: &mut Database,
     table: &str,
@@ -183,20 +209,7 @@ fn update(
     // Delta model: UPDATE = DELETE old ∪ INSERT new at one version.
     let version = db.next_version();
     let t = db.table_mut(table)?;
-    let mut eval_err: Option<EngineError> = None;
-    let old_rows = t.delete_where(version, |row| match &predicate {
-        None => true,
-        Some(p) => match p.eval_predicate(row) {
-            Ok(b) => b,
-            Err(e) => {
-                eval_err.get_or_insert(EngineError::Sql(e));
-                false
-            }
-        },
-    });
-    if let Some(e) = eval_err {
-        return Err(e);
-    }
+    let old_rows = delete_matching(t, version, predicate.as_ref())?;
     let count = old_rows.len() as u64 * 2;
     for old in old_rows {
         let mut vals = old.values().to_vec();
@@ -265,6 +278,119 @@ mod tests {
         assert_eq!(delta[0].row, row![1, 10]);
         assert_eq!(delta[1].op, DeltaOp::Insert);
         assert_eq!(delta[1].row, row![1, 11]);
+    }
+
+    /// `t(id INT, b INT, x INT)` with ids 0..10 in chunks of 4: two sealed
+    /// chunks (0–3, 4–7) and an unsealed tail (8, 9). `x` is NULL for odd
+    /// ids.
+    fn chunked_db() -> Database {
+        let schema = Schema::new(vec![
+            Field::nullable("id", DataType::Int),
+            Field::nullable("b", DataType::Int),
+            Field::nullable("x", DataType::Int),
+        ]);
+        let mut t = Table::with_chunk_capacity("t", schema, 4);
+        t.bulk_load((0..10).map(|i| {
+            let x = if i % 2 == 0 {
+                Value::Int(i)
+            } else {
+                Value::Null
+            };
+            Row::new(vec![Value::Int(i), Value::Int(i * 10), x])
+        }))
+        .unwrap();
+        let mut db = Database::new();
+        db.register_table(t).unwrap();
+        db
+    }
+
+    /// Remaining ids after `sql`, plus the ids its delete records logged.
+    fn delete_ids(sql: &str) -> (Vec<i64>, Vec<i64>) {
+        let mut db = chunked_db();
+        let v0 = db.version();
+        db.execute_sql(sql).unwrap();
+        let id = |r: &Row| r[0].as_i64().unwrap();
+        let left = db.table("t").unwrap().rows().iter().map(id).collect();
+        let logged = db
+            .delta_since("t", v0)
+            .unwrap()
+            .iter()
+            .map(|rec| {
+                assert_eq!(rec.op, DeltaOp::Delete);
+                id(&rec.row)
+            })
+            .collect();
+        (left, logged)
+    }
+
+    #[test]
+    fn delete_float_bound_on_int_column() {
+        let (left, gone) = delete_ids("DELETE FROM t WHERE id >= 2.5");
+        assert_eq!(left, vec![0, 1, 2]);
+        assert_eq!(gone, vec![3, 4, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn delete_equal_null_deletes_nothing() {
+        let (left, gone) = delete_ids("DELETE FROM t WHERE x = NULL");
+        assert_eq!(left.len(), 10);
+        assert!(gone.is_empty());
+    }
+
+    #[test]
+    fn delete_range_union_spans_chunks_and_tail() {
+        let (left, gone) =
+            delete_ids("DELETE FROM t WHERE (id >= 1 AND id <= 2) OR (id >= 8 AND id <= 9)");
+        assert_eq!(left, vec![0, 3, 4, 5, 6, 7]);
+        assert_eq!(gone, vec![1, 2, 8, 9]);
+    }
+
+    #[test]
+    fn range_narrows_and_full_predicate_decides() {
+        let (left, gone) = delete_ids("DELETE FROM t WHERE id >= 5 AND b % 20 = 0");
+        assert_eq!(left, vec![0, 1, 2, 3, 4, 5, 7, 9]);
+        assert_eq!(gone, vec![6, 8]);
+    }
+
+    #[test]
+    fn non_range_predicate_takes_the_full_pass() {
+        let (left, gone) = delete_ids("DELETE FROM t WHERE b + 1 > 31");
+        assert_eq!(left, vec![0, 1, 2, 3]);
+        assert_eq!(gone, vec![4, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn range_update_reinserts_at_one_version() {
+        let mut db = chunked_db();
+        let v0 = db.version();
+        let StatementResult::Affected { count, version, .. } = db
+            .execute_sql("UPDATE t SET b = b + 1 WHERE id > 2 AND id < 5")
+            .unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(count, 4);
+        let log: Vec<(DeltaOp, Row)> = db
+            .delta_since("t", v0)
+            .unwrap()
+            .iter()
+            .map(|rec| {
+                assert_eq!(rec.version, version);
+                (rec.op, rec.row.clone())
+            })
+            .collect();
+        assert_eq!(
+            log,
+            vec![
+                (DeltaOp::Delete, row![3, 30, Value::Null]),
+                (DeltaOp::Delete, row![4, 40, 4]),
+                (DeltaOp::Insert, row![3, 31, Value::Null]),
+                (DeltaOp::Insert, row![4, 41, 4]),
+            ]
+        );
+        let t = db.table("t").unwrap();
+        assert_eq!(t.row_count(), 10);
+        assert_eq!(t.dead_rows(), 2);
     }
 
     #[test]

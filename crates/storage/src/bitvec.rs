@@ -53,6 +53,17 @@ impl BitVec {
         self.len == 0
     }
 
+    /// Append one bit, growing the vector by one (amortized O(1)).
+    pub fn push(&mut self, value: bool) {
+        if self.len.is_multiple_of(WORD_BITS) {
+            self.words.push(0);
+        }
+        self.len += 1;
+        if value {
+            self.set(self.len - 1, true);
+        }
+    }
+
     /// Set bit `i` to `value`. Panics when out of bounds.
     pub fn set(&mut self, i: usize, value: bool) {
         assert!(i < self.len, "bit {i} out of bounds (len {})", self.len);
@@ -223,6 +234,22 @@ mod tests {
         let bits = [0usize, 5, 63, 64, 99];
         let b = BitVec::from_bits(100, bits);
         assert_eq!(b.iter_ones().collect::<Vec<_>>(), bits.to_vec());
+    }
+
+    #[test]
+    fn push_grows_across_word_boundaries() {
+        let mut b = BitVec::new(0);
+        let bits: Vec<bool> = (0..130).map(|i| i % 3 == 0 || i == 64).collect();
+        for &bit in &bits {
+            b.push(bit);
+        }
+        assert_eq!(b.len(), 130);
+        for (i, &bit) in bits.iter().enumerate() {
+            assert_eq!(b.get(i), bit, "bit {i}");
+        }
+        // Equal to the same bits set on a fixed-length vector.
+        let fixed = BitVec::from_bits(130, (0..130).filter(|&i| bits[i]));
+        assert_eq!(b, fixed);
     }
 
     #[test]

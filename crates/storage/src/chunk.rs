@@ -11,6 +11,7 @@ use crate::bitvec::BitVec;
 use crate::column::ColumnData;
 use crate::row::Row;
 use crate::schema::Schema;
+use crate::table::ValueRange;
 use crate::value::Value;
 use crate::Result;
 
@@ -119,6 +120,17 @@ impl DataChunk {
     /// Value of one cell.
     pub fn value(&self, column: usize, idx: usize) -> Value {
         self.columns[column].get(idx)
+    }
+
+    /// Live slots whose `column` value lies in at least one inclusive range
+    /// of `ranges`, ascending: the typed kernel
+    /// [`ColumnData::select_in_ranges`] run over one column, minus
+    /// tombstoned slots. No row is built.
+    pub fn select_live_in_ranges(&self, column: usize, ranges: &[ValueRange]) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.columns[column].select_in_ranges(ranges, &mut out);
+        out.retain(|&i| self.is_live(i));
+        out
     }
 
     /// Iterate over live rows as `(index, Row)`.
@@ -247,6 +259,15 @@ mod tests {
         assert_eq!(c.live_rows(), 2);
         let rows: Vec<_> = c.iter_live().map(|(_, r)| r).collect();
         assert_eq!(rows, vec![row![1, "x"], row![3, "z"]]);
+    }
+
+    #[test]
+    fn select_live_in_ranges_skips_tombstones() {
+        let mut c = chunk();
+        let ranges = [(Some(Value::Int(1)), Some(Value::Int(3)))];
+        assert_eq!(c.select_live_in_ranges(0, &ranges), vec![0, 2]);
+        c.delete(0);
+        assert_eq!(c.select_live_in_ranges(0, &ranges), vec![2]);
     }
 
     #[test]

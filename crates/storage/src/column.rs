@@ -2,6 +2,7 @@
 
 use crate::bitvec::BitVec;
 use crate::error::StorageError;
+use crate::table::ValueRange;
 use crate::value::{DataType, Value};
 use crate::Result;
 use std::sync::Arc;
@@ -23,7 +24,8 @@ enum TypedVec {
 #[derive(Debug, Clone)]
 pub struct ColumnData {
     values: TypedVec,
-    /// Set bits mark NULL positions. Lazily allocated on first NULL.
+    /// Set bits mark NULL positions. Allocated on the first NULL; from
+    /// then on it has exactly one bit per entry.
     nulls: Option<BitVec>,
     dtype: DataType,
 }
@@ -75,14 +77,9 @@ impl ColumnData {
                 TypedVec::Float(v) => v.push(0.0),
                 TypedVec::Str(v) => v.push(Arc::from("")),
             }
-            let nulls = self.nulls.get_or_insert_with(|| BitVec::new(0));
-            // Grow the bitmap to cover the new slot.
-            let mut grown = BitVec::new(len + 1);
-            for i in nulls.iter_ones() {
-                grown.set(i, true);
-            }
-            grown.set(len, true);
-            *nulls = grown;
+            self.nulls
+                .get_or_insert_with(|| BitVec::new(len))
+                .push(true);
             return Ok(());
         }
         match (&mut self.values, value) {
@@ -98,21 +95,55 @@ impl ColumnData {
                 })
             }
         }
+        if let Some(nulls) = &mut self.nulls {
+            nulls.push(false);
+        }
         Ok(())
+    }
+
+    fn is_null(&self, idx: usize) -> bool {
+        self.nulls.as_ref().is_some_and(|n| n.get(idx))
     }
 
     /// Read the value at `idx`.
     pub fn get(&self, idx: usize) -> Value {
-        if let Some(nulls) = &self.nulls {
-            if idx < nulls.len() && nulls.get(idx) {
-                return Value::Null;
-            }
+        if self.is_null(idx) {
+            return Value::Null;
         }
         match &self.values {
             TypedVec::Bool(v) => Value::Bool(v[idx]),
             TypedVec::Int(v) => Value::Int(v[idx]),
             TypedVec::Float(v) => Value::Float(v[idx]),
             TypedVec::Str(v) => Value::Str(v[idx].clone()),
+        }
+    }
+
+    /// Column-first range selection: append to `out`, ascending, every
+    /// position whose value lies in at least one of the inclusive `ranges`
+    /// (`None` = unbounded). Values compare by [`Value`]'s `Ord`, so an
+    /// `Int` column against a `Float` bound compares numerically, exactly
+    /// as a row predicate `col >= bound` would; a NULL never matches.
+    ///
+    /// The loop runs over the typed vector and builds no [`crate::Row`].
+    /// An `Int` column whose bounds are all `Int` compares plain `i64`s.
+    pub fn select_in_ranges(&self, ranges: &[ValueRange], out: &mut Vec<usize>) {
+        let nulls = self.nulls.as_ref();
+        match &self.values {
+            TypedVec::Int(v) => match int_bounds(ranges) {
+                Some(b) => push_matching(v, nulls, out, |&x| {
+                    b.iter().any(|&(lo, hi)| lo <= x && x <= hi)
+                }),
+                None => push_matching(v, nulls, out, |&x| in_ranges(&Value::Int(x), ranges)),
+            },
+            TypedVec::Float(v) => {
+                push_matching(v, nulls, out, |&x| in_ranges(&Value::Float(x), ranges))
+            }
+            TypedVec::Bool(v) => {
+                push_matching(v, nulls, out, |&x| in_ranges(&Value::Bool(x), ranges))
+            }
+            TypedVec::Str(v) => {
+                push_matching(v, nulls, out, |x| in_ranges(&Value::Str(x.clone()), ranges))
+            }
         }
     }
 
@@ -156,6 +187,41 @@ impl ColumnData {
         };
         data + self.nulls.as_ref().map_or(0, BitVec::heap_size)
     }
+}
+
+/// Append to `out` every non-NULL position of `values` that `keep` accepts.
+fn push_matching<T>(
+    values: &[T],
+    nulls: Option<&BitVec>,
+    out: &mut Vec<usize>,
+    keep: impl Fn(&T) -> bool,
+) {
+    for (i, x) in values.iter().enumerate() {
+        if keep(x) && !nulls.is_some_and(|n| n.get(i)) {
+            out.push(i);
+        }
+    }
+}
+
+/// Is `v` inside at least one inclusive range?
+fn in_ranges(v: &Value, ranges: &[ValueRange]) -> bool {
+    ranges.iter().any(|(lo, hi)| {
+        lo.as_ref().is_none_or(|lo| v >= lo) && hi.as_ref().is_none_or(|hi| v <= hi)
+    })
+}
+
+/// `ranges` as inclusive `i64` pairs, when every bound is an `Int` or
+/// unbounded; `None` when some bound needs [`Value`]'s mixed-type order.
+fn int_bounds(ranges: &[ValueRange]) -> Option<Vec<(i64, i64)>> {
+    let bound = |b: &Option<Value>, open: i64| match b {
+        None => Some(open),
+        Some(Value::Int(i)) => Some(*i),
+        Some(_) => None,
+    };
+    ranges
+        .iter()
+        .map(|(lo, hi)| Some((bound(lo, i64::MIN)?, bound(hi, i64::MAX)?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -206,5 +272,72 @@ mod tests {
         assert_eq!(c.min_max(), Some((Value::Int(-2), Value::Int(5))));
         let empty = ColumnData::new(DataType::Int);
         assert_eq!(empty.min_max(), None);
+    }
+
+    #[test]
+    fn nulls_interleaved_across_word_boundary() {
+        // Non-NULL prefix (no bitmap yet), then NULLs every third slot
+        // across the 64-bit word boundary of the bitmap.
+        let expected: Vec<Value> = (0..150)
+            .map(|i| {
+                if i >= 10 && i % 3 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i)
+                }
+            })
+            .collect();
+        let mut c = ColumnData::new(DataType::Int);
+        for v in &expected {
+            c.push(v).unwrap();
+            assert_eq!(c.nulls.as_ref().map_or(c.len(), BitVec::len), c.len());
+        }
+        let got: Vec<Value> = (0..c.len()).map(|i| c.get(i)).collect();
+        assert_eq!(got, expected);
+        assert_eq!(c.min_max(), Some((Value::Int(0), Value::Int(149))));
+    }
+
+    fn selected(c: &ColumnData, ranges: &[ValueRange]) -> Vec<usize> {
+        let mut out = Vec::new();
+        c.select_in_ranges(ranges, &mut out);
+        out
+    }
+
+    #[test]
+    fn select_in_ranges_follows_value_order() {
+        let mut c = ColumnData::new(DataType::Int);
+        for v in [
+            Value::Int(1),
+            Value::Null,
+            Value::Int(3),
+            Value::Int(5),
+            Value::Int(8),
+        ] {
+            c.push(&v).unwrap();
+        }
+        let int = |i| Some(Value::Int(i));
+        // Int bounds: inclusive, OR-union, unbounded sides.
+        assert_eq!(selected(&c, &[(int(3), int(5))]), vec![2, 3]);
+        assert_eq!(selected(&c, &[(None, int(1)), (int(8), None)]), vec![0, 4]);
+        // NULL never matches, not even a fully unbounded range.
+        assert_eq!(selected(&c, &[(None, None)]), vec![0, 2, 3, 4]);
+        // Float bounds on an Int column compare numerically.
+        let fl = |f| Some(Value::Float(f));
+        assert_eq!(selected(&c, &[(fl(2.5), fl(5.0))]), vec![2, 3]);
+        // Mixed-type bounds follow Value's type rank: every Int sorts
+        // below every Str.
+        assert_eq!(
+            selected(&c, &[(None, Some(Value::str("a")))]),
+            vec![0, 2, 3, 4]
+        );
+        assert!(selected(&c, &[(Some(Value::str("a")), None)]).is_empty());
+
+        let mut s = ColumnData::new(DataType::Str);
+        for v in [Value::str("b"), Value::Null, Value::str("d")] {
+            s.push(&v).unwrap();
+        }
+        let st = |x| Some(Value::str(x));
+        assert_eq!(selected(&s, &[(st("a"), st("c"))]), vec![0]);
+        assert_eq!(selected(&s, &[(st("c"), None)]), vec![2]);
     }
 }

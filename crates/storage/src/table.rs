@@ -21,6 +21,12 @@ pub const DEFAULT_CHUNK_CAPACITY: usize = 4096;
 /// Rows live in sealed [`DataChunk`]s plus one open tail builder. Deletes
 /// are tombstones inside chunks. Every mutation is mirrored into the
 /// [`DeltaLog`] tagged with the snapshot version supplied by the engine.
+///
+/// Reads and deletes share the chunks' zone maps: [`Table::scan`] skips
+/// chunks whose zone map misses every prune range, and
+/// [`Table::delete_where`] picks its victims column-first — zone-map
+/// pruning, then a typed range kernel over one column — so only candidate
+/// rows are ever built.
 #[derive(Debug)]
 pub struct Table {
     name: String,
@@ -153,20 +159,50 @@ impl Table {
     }
 
     /// Delete all live rows matching `pred`, logging them at `version`.
-    /// Returns the deleted rows.
-    pub fn delete_where(&mut self, version: u64, mut pred: impl FnMut(&Row) -> bool) -> Vec<Row> {
+    /// Returns the deleted rows in table order (chunk order, then tail),
+    /// which is also the order of their delta-log records.
+    ///
+    /// With `prune = Some((column, ranges))` the victims are chosen
+    /// column-first. `ranges` are inclusive `(lo, hi)` bounds (`None` =
+    /// unbounded) that must over-approximate `pred`: every row `pred`
+    /// accepts has a non-NULL `column` value inside at least one range.
+    /// Per sealed chunk:
+    ///
+    /// 1. the chunk is skipped when its zone map overlaps none of the
+    ///    ranges (the same test [`Table::scan`] prunes with);
+    /// 2. otherwise the ranges are narrowed to the ones the zone map
+    ///    overlaps and [`DataChunk::select_live_in_ranges`] runs over that
+    ///    one column, returning the candidate slots;
+    /// 3. only candidates are built as rows and checked against `pred`.
+    ///
+    /// Rows the ranges exclude are never passed to `pred`. The unsealed
+    /// tail is row-based: `pred` sees every live tail row. With
+    /// `prune = None`, `pred` sees every live row.
+    pub fn delete_where(
+        &mut self,
+        version: u64,
+        prune: Option<(usize, &[ValueRange])>,
+        mut pred: impl FnMut(&Row) -> bool,
+    ) -> Vec<Row> {
         let mut deleted = Vec::new();
         for chunk in &mut self.chunks {
-            // Collect first to avoid borrowing issues with delete().
-            let victims: Vec<usize> = chunk
-                .iter_live()
-                .filter(|(_, r)| pred(r))
-                .map(|(i, _)| i)
-                .collect();
-            for idx in victims {
+            let candidates: Vec<usize> = match prune {
+                Some((col, ranges)) => {
+                    let narrowed: Vec<ValueRange> =
+                        overlapping(chunk, col, ranges).cloned().collect();
+                    if narrowed.is_empty() {
+                        continue;
+                    }
+                    chunk.select_live_in_ranges(col, &narrowed)
+                }
+                None => (0..chunk.len()).filter(|&i| chunk.is_live(i)).collect(),
+            };
+            for idx in candidates {
                 let row = chunk.row(idx);
-                chunk.delete(idx);
-                deleted.push(row);
+                if pred(&row) {
+                    chunk.delete(idx);
+                    deleted.push(row);
+                }
             }
         }
         for i in 0..self.tail_rows.len() {
@@ -199,11 +235,7 @@ impl Table {
     ) {
         for chunk in &self.chunks {
             if let Some((col, ranges)) = prune {
-                let zm = chunk.zone_map();
-                let overlaps = ranges
-                    .iter()
-                    .any(|(lo, hi)| zm.may_overlap(col, lo.as_ref(), hi.as_ref()));
-                if !overlaps {
+                if overlapping(chunk, col, ranges).next().is_none() {
                     on_chunk_skipped(chunk.live_rows());
                     continue;
                 }
@@ -261,6 +293,19 @@ impl Table {
     }
 }
 
+/// The ranges that `chunk`'s zone map may satisfy on `column`: the one
+/// zone-map test behind both [`Table::scan`] and [`Table::delete_where`].
+fn overlapping<'a>(
+    chunk: &'a DataChunk,
+    column: usize,
+    ranges: &'a [ValueRange],
+) -> impl Iterator<Item = &'a ValueRange> + 'a {
+    let zm = chunk.zone_map();
+    ranges
+        .iter()
+        .filter(move |(lo, hi)| zm.may_overlap(column, lo.as_ref(), hi.as_ref()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +338,7 @@ mod tests {
         for i in 0..4 {
             t.insert(row![i, i * 100], 1).unwrap();
         }
-        let deleted = t.delete_where(2, |r| r[1] >= Value::Int(200));
+        let deleted = t.delete_where(2, None, |r| r[1] >= Value::Int(200));
         assert_eq!(deleted.len(), 2);
         assert_eq!(t.row_count(), 2);
         let deletes: Vec<_> = t
@@ -323,11 +368,40 @@ mod tests {
     }
 
     #[test]
+    fn delete_where_builds_only_in_range_candidates() {
+        // 100 sealed chunks of 16 ids each, then a 5-row unsealed tail.
+        let mut t = Table::with_chunk_capacity("s", sales_schema(), 16);
+        t.bulk_load((0..1605).map(|i| row![i, i % 7])).unwrap();
+        assert_eq!(t.chunks().len(), 100);
+        let ranges = vec![(Some(Value::Int(800)), Some(Value::Int(809)))];
+        let mut seen = Vec::new();
+        let deleted = t.delete_where(2, Some((0, &ranges)), |r| {
+            seen.push(r[0].clone());
+            r[0] >= Value::Int(800) && r[0] < Value::Int(810)
+        });
+        assert_eq!(deleted.len(), 10);
+        assert_eq!(t.row_count(), 1595);
+        // The predicate sees the window's 10 candidates and the 5 tail
+        // rows: not one call per live row, and none for the 99 chunks
+        // the zone maps prune or for the rest of the overlapping chunk.
+        let expected: Vec<Value> = (800..810).chain(1600..1605).map(Value::Int).collect();
+        assert_eq!(seen, expected);
+        // Tombstoned slots are no longer candidates: only the tail is seen.
+        let mut calls = 0;
+        let again = t.delete_where(3, Some((0, &ranges)), |r| {
+            calls += 1;
+            r[0] >= Value::Int(800) && r[0] < Value::Int(810)
+        });
+        assert!(again.is_empty());
+        assert_eq!(calls, 5);
+    }
+
+    #[test]
     fn delete_in_unsealed_tail() {
         let mut t = Table::new("s", sales_schema());
         t.insert(row![1, 10], 1).unwrap();
         t.insert(row![2, 20], 1).unwrap();
-        let d = t.delete_where(2, |r| r[0] == Value::Int(1));
+        let d = t.delete_where(2, None, |r| r[0] == Value::Int(1));
         assert_eq!(d.len(), 1);
         assert_eq!(t.rows(), vec![row![2, 20]]);
     }
@@ -337,7 +411,7 @@ mod tests {
         let mut t = Table::with_chunk_capacity("s", sales_schema(), 4);
         t.insert(row![1, 10], 1).unwrap();
         t.insert(row![2, 20], 1).unwrap();
-        t.delete_where(2, |r| r[0] == Value::Int(1));
+        t.delete_where(2, None, |r| r[0] == Value::Int(1));
         t.insert(row![3, 30], 3).unwrap();
         t.insert(row![4, 40], 3).unwrap(); // seals the chunk
         assert_eq!(t.rows(), vec![row![2, 20], row![3, 30], row![4, 40]]);
@@ -349,7 +423,7 @@ mod tests {
         for i in 0..6 {
             t.insert(row![i, i * 100], 1).unwrap();
         }
-        t.delete_where(2, |r| r[0] < Value::Int(3));
+        t.delete_where(2, None, |r| r[0] < Value::Int(3));
         assert_eq!(t.dead_rows(), 3);
         let before = t.rows();
         let reclaimed = t.compact();
